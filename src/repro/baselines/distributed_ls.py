@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..core.decomposition import Cluster, NetworkDecomposition
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm
+from ..distributed.node import Context, NodeAlgorithm, algorithm_at
 from ..distributed.synchronizer import build_network
 from ..errors import ParameterError, SimulationError
 from ..graphs.activeset import ActiveSet
@@ -168,16 +168,16 @@ class _SyncLSPhases:
 
     def run_phase(self, phase, budget, radii):
         for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, LSNodeAlgorithm)
-            algorithm.begin_phase(phase, budget)
+            algorithm_at(self._network, v, LSNodeAlgorithm).begin_phase(phase, budget)
         self._network.run_rounds(budget + 2)
         joined: dict[int, int] = {}
         for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, LSNodeAlgorithm)
+            algorithm = algorithm_at(self._network, v, LSNodeAlgorithm)
             if algorithm.joined_phase == phase:
-                assert algorithm.center is not None
+                if algorithm.center is None:
+                    raise SimulationError(
+                        f"vertex {v} joined in phase {phase} without a center"
+                    )
                 joined[v] = algorithm.center
         return joined
 

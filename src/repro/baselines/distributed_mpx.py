@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING, Literal, Sequence
 from ..core.decomposition import Cluster, NetworkDecomposition
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm
+from ..distributed.node import Context, NodeAlgorithm, algorithm_at
 from ..distributed.synchronizer import build_network
-from ..errors import ParameterError
+from ..errors import ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
 from ..telemetry import maybe_span, resolve
@@ -143,8 +143,9 @@ def partition_distributed(
     α-synchronized asynchronous engine under a ``delivery`` schedule and
     optional ``faults`` plan (``docs/async.md``); note the one-shot
     competition requires every vertex to decide, so fault plans that
-    crash a node through its decision round trip the assignment
-    assertion — use drop faults (a vertex always holds its own entry).
+    crash a node through its decision round raise
+    :class:`~repro.errors.SimulationError` naming it — use drop faults
+    (a vertex always holds its own entry).
     ``telemetry`` (or the ambient trace) enables the run span and the
     ``mpx.rounds`` metrics stream.
     """
@@ -199,9 +200,12 @@ def partition_distributed(
             stats = network.stats
             center_of = {}
             for v in range(n):
-                algorithm = network.algorithm(v)
-                assert isinstance(algorithm, MPXNodeAlgorithm)
-                assert algorithm.center is not None, "every vertex must be assigned"
+                algorithm = algorithm_at(network, v, MPXNodeAlgorithm)
+                if algorithm.center is None:
+                    raise SimulationError(
+                        f"vertex {v} was never assigned a center "
+                        f"(it did not run its decision round {budget + 1})"
+                    )
                 center_of[v] = algorithm.center
         if run_span is not None:
             run_span.add("rounds", budget + 1)

@@ -5,15 +5,60 @@ radius ``r_v`` per active vertex, this module computes the block
 :math:`W_t`:
 
 1. every vertex ``v`` *broadcasts* ``r_v`` to its ``⌊r_v⌋``-neighbourhood
-   in :math:`G_t` — here, a bounded BFS over the active set;
+   in :math:`G_t` (optionally capped at ``range_cap`` hops);
 2. every vertex ``y`` records ``m_i = r_{v_i} − d_{G_t}(y, v_i)`` for each
    broadcast that reaches it (its own included, with ``m = r_y``);
 3. ``y`` joins :math:`W_t` **iff** ``m₁ − m₂ > 1``, where ``m₁ ≥ m₂`` are
    the two largest recorded values and ``m₂ = 0`` when only one broadcast
    arrived.  The argmax vertex ``v₁`` is ``y``'s *center*.
 
-The same kernel runs inside the centralized drivers (Theorems 1–3) and is
-the ground truth the distributed protocol is cross-validated against.
+The same kernel runs inside the centralized drivers (Theorems 1–3) and the
+oracle hierarchy, and is the ground truth the distributed protocol is
+cross-validated against.
+
+Top-two sweep
+-------------
+The join rule only reads the two largest values, so — as in the paper's
+CONGEST implementation — no vertex needs to hear more than the top two.
+:func:`carve_block` runs one level-synchronous, multi-source sweep over
+the active set.  Every vertex keeps one pair of slots, each holding an
+origin ``o`` heard at hop distance ``d`` with value ``r_o − d``, ordered
+by ``(value descending, origin ascending)``.  Round 0 seeds every vertex
+with its own broadcast.  In round ``d`` a vertex sends to its active
+neighbours exactly the entries that entered its slots in round ``d − 1``,
+still hold them when that round ends, and are still in range
+(``d − 1 < reach(o)``).  A receiver discards an origin it already holds
+(a later copy is never better) and any entry a full second slot
+dominates.  A phase therefore costs ``O(rounds · live edges)`` instead
+of the sum of all ball sizes.
+
+*One pair of slots is enough.*  A forwardable entry (``d < reach(o) ≤
+⌊r_o⌋``) has value ``r_o − d ≥ 1``, while an entry at its range limit
+has value ``r_o − ⌊r_o⌋ < 1`` — unless it stopped at ``range_cap``, and
+then it arrives in round ``range_cap``, after the last round anything is
+forwarded.  So while forwarding is still possible, every forwardable
+entry outranks every non-forwardable one, and the top two among
+forwardable entries (what a vertex must forward) are exactly the
+forwardable members of its top two.
+
+*Exactness.*  By induction on ``d``, after round ``d`` every vertex's
+slots are the exact top two among its entries at distance ``≤ d``.
+Suppose origin ``a`` is in ``y``'s true top two at distance ``d``, and
+let ``w`` be ``y``'s predecessor on a shortest path to ``a``; then
+``d(w, a) = d − 1 < reach(a)``, so ``a`` is forwardable at ``w``.  If
+``a`` were not in ``w``'s top two, two entries ``b``, ``c`` beating it
+there would be forwardable too (their values are at least ``a``'s,
+which is ``≥ 1``), would reach ``y`` within one more hop, each losing at most the
+one unit ``a`` loses — so both would beat ``a`` at ``y``, a
+contradiction.  Hence ``w`` forwards ``a`` in round ``d`` and ``y``
+records it.  Values are computed as ``r_o − d`` exactly as a per-vertex
+BFS would, and for ``d ≤ ⌊r_o⌋`` that subtraction is exact in floating
+point, so the order argument holds bit for bit and ``best``/``second``
+equal the values of the full broadcast.
+
+``TopTwo.count`` is the number of broadcasts heard *saturating at 2*:
+filtered entries are never delivered, so the sweep cannot count them.
+Every reader only tells a lone broadcast (1) from a contested one (≥ 2).
 
 Tie-breaking: radii are continuous, so exact ties between shifted values
 have probability zero; for bit-level determinism we still order competitors
@@ -29,7 +74,6 @@ from dataclasses import dataclass, field
 from typing import Container, Mapping
 
 from ..errors import ParameterError
-from ..graphs._kernel import bfs_levels
 from ..graphs.activeset import ActiveSet, blocked_from_active
 from ..graphs.graph import Graph
 
@@ -42,7 +86,8 @@ class TopTwo:
 
     ``best`` / ``second`` are the values ``m₁`` / ``m₂``; ``best_origin``
     is the center candidate ``v₁``.  ``second`` defaults to 0.0, the
-    paper's convention when no second broadcast arrives.
+    paper's convention when no second broadcast arrives.  ``count`` is
+    the number of broadcasts heard, saturating at 2.
     """
 
     best: float = -math.inf
@@ -53,7 +98,7 @@ class TopTwo:
 
     def offer(self, value: float, origin: int) -> None:
         """Account for a broadcast with shifted value ``value`` from ``origin``."""
-        self.count += 1
+        self.count = min(self.count + 1, 2)
         if value > self.best or (value == self.best and origin < self.best_origin):
             if self.count > 1:
                 self.second, self.second_origin = self.best, self.best_origin
@@ -160,36 +205,73 @@ def carve_block(
     Every vertex hears at least its own broadcast (distance 0 is always
     within range since ``⌊r⌋ ≥ 0``), so ``m₁`` is always defined — matching
     the paper's observation that an isolated vertex joins iff ``r_y > 1``.
+    The broadcasts are delivered by the top-two sweep described in the
+    module docstring.
     """
-    outcome = PhaseOutcome()
-    top_two = outcome.top_two
-    # One shared scratch mask (1 = inactive-or-visited) serves every
-    # broadcast of the phase: each bounded BFS marks the vertices it
-    # reaches and un-marks them afterwards, so the phase allocates O(n)
-    # once instead of per broadcast.
-    scratch = blocked_from_active(graph.num_vertices, active)
-    for v in sorted(radii):
-        if not 0 <= v < graph.num_vertices or scratch[v]:
+    n = graph.num_vertices
+    blocked = blocked_from_active(n, active)
+    order = sorted(radii)
+    for v in order:
+        if not 0 <= v < n or blocked[v]:
             raise ParameterError(f"radius given for inactive vertex {v}")
-        top_two[v] = TopTwo()
-    for v in sorted(radii):
-        r_v = radii[v]
-        reach = broadcast_reach(r_v, range_cap)
-        # Bounded BFS from v over the active set, offering r_v - d to
-        # every vertex reached (level d).
-        top_two[v].offer(r_v, v)
-        if reach == 0:
-            continue
-        levels = bfs_levels(graph, [v], scratch, radius=reach)
-        for distance in range(1, len(levels)):
-            value = r_v - distance
-            for w in levels[distance]:
-                top_two[w].offer(value, v)
-        for level in levels:
-            for w in level:
-                scratch[w] = 0
-    for y, record in top_two.items():
-        if record.joins_with_threshold(gap_threshold):
-            outcome.block.add(y)
-            outcome.center_of[y] = record.best_origin
+    reach = {v: broadcast_reach(radii[v], range_cap) for v in order}
+    # Slot columns, indexed by vertex: value, origin and the round the
+    # entry arrived in (= its hop distance).  An empty slot is (-inf, -1).
+    best, second = [-math.inf] * n, [-math.inf] * n
+    best_of, second_of = [-1] * n, [-1] * n
+    best_round, second_round = [0] * n, [0] * n
+    sends: list[tuple[int, int]] = []
+    for v in order:
+        best[v], best_of[v] = radii[v], v
+        if reach[v] > 0:
+            sends.append((v, v))
+    indptr, indices = graph.csr()
+    d = 0
+    while sends:
+        d += 1
+        touched: set[int] = set()
+        for w, o in sends:
+            value = radii[o] - d
+            for y in indices[indptr[w]:indptr[w + 1]]:
+                if blocked[y]:
+                    continue
+                # A held origin never re-enters: a later copy has a smaller
+                # value, so it can only beat the second slot, and only when
+                # it holds the first one.
+                b = best[y]
+                if value > b or (value == b and o < best_of[y]):
+                    second[y], second_of[y] = b, best_of[y]
+                    second_round[y] = best_round[y]
+                    best[y], best_of[y], best_round[y] = value, o, d
+                else:
+                    s = second[y]
+                    if not (
+                        (value > s or (value == s and o < second_of[y]))
+                        and o != best_of[y]
+                    ):
+                        continue
+                    second[y], second_of[y], second_round[y] = value, o, d
+                touched.add(y)
+        sends = []
+        for y in touched:
+            o = best_of[y]
+            if best_round[y] == d and d < reach[o]:
+                sends.append((y, o))
+            o = second_of[y]
+            if second_round[y] == d and d < reach[o]:
+                sends.append((y, o))
+    outcome = PhaseOutcome()
+    top_two, block, center_of = outcome.top_two, outcome.block, outcome.center_of
+    for y in order:
+        m1, v1 = best[y], best_of[y]
+        if second_of[y] == -1:
+            m2, count = 0.0, 1
+        else:
+            m2, count = second[y], 2
+        top_two[y] = TopTwo(m1, v1, m2, second_of[y], count)
+        # TopTwo.joins_with_threshold, inlined: a method call per active
+        # vertex was a large share of a phase's time on sparse graphs.
+        if m1 - m2 > gap_threshold:
+            block.add(y)
+            center_of[y] = v1
     return outcome

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm
+from ..distributed.node import Context, NodeAlgorithm, algorithm_at
 from ..distributed.synchronizer import build_network
 from ..errors import ParameterError, SimulationError
 from ..graphs.activeset import ActiveSet
@@ -276,14 +276,13 @@ class _SyncENPhases:
         # Nodes re-derive their own radii from (seed, phase, beta); the
         # driver's ``radii`` dict doubles as the live-vertex list here.
         for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, ENNodeAlgorithm)
-            algorithm.begin_phase(phase, beta, budget)
+            algorithm_at(self._network, v, ENNodeAlgorithm).begin_phase(
+                phase, beta, budget
+            )
         self._network.run_rounds(budget + 2)
         joined: dict[int, int] = {}
         for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, ENNodeAlgorithm)
+            algorithm = algorithm_at(self._network, v, ENNodeAlgorithm)
             if algorithm.joined_phase == phase:
                 joined[v] = algorithm.center if algorithm.center is not None else v
         return joined

@@ -20,7 +20,7 @@ size).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence, TypeVar
 
 from ..errors import SimulationError
 from .message import Message
@@ -28,7 +28,7 @@ from .message import Message
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import SyncNetwork
 
-__all__ = ["Context", "NodeAlgorithm"]
+__all__ = ["Context", "NodeAlgorithm", "algorithm_at"]
 
 
 class Context:
@@ -139,3 +139,20 @@ class NodeAlgorithm:
         ``inbox`` is sorted by sender id, so processing order — and hence
         any state the algorithm builds — is deterministic.
         """
+
+
+A = TypeVar("A", bound=NodeAlgorithm)
+
+
+def algorithm_at(network, v: int, kind: type[A]) -> A:
+    """``network.algorithm(v)``, checked to be a ``kind``.
+
+    Drivers read their node states back through this instead of a bare
+    ``assert isinstance`` (which vanishes under ``python -O``).
+    """
+    algorithm = network.algorithm(v)
+    if not isinstance(algorithm, kind):
+        raise SimulationError(
+            f"vertex {v} runs {type(algorithm).__name__}, expected {kind.__name__}"
+        )
+    return algorithm

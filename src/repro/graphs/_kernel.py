@@ -103,7 +103,7 @@ def bfs_levels(
         "do not enter" (inactive **or** already visited).  Mutated in
         place: every returned vertex is marked ``1``, which is what lets
         callers run many BFS passes over one shared mask
-        (connected components, the carving scratch mask).
+        (connected components, the oracle's fringe growth).
     radius:
         Maximum depth to expand to (``None`` = unbounded).
 

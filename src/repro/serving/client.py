@@ -45,6 +45,12 @@ class ServeClient:
         if not line:
             raise ProtocolError(f"server closed the connection during {op!r}")
         response = decode_line(line)
+        if response.get("id") is None and not response.get("ok"):
+            # A line the server could not read at all (e.g. over its
+            # length limit) is rejected without an ``id`` echo.
+            raise ProtocolError(
+                f"server rejected {op!r}: {response.get('error', 'unknown error')}"
+            )
         if response.get("id") != request_id:
             raise ProtocolError(
                 f"response id {response.get('id')!r} does not match "

@@ -47,7 +47,14 @@ from ..oracle.tables import DistanceOracle
 from ..telemetry import Telemetry, maybe_span, resolve
 from .batcher import MicroBatcher
 from .cache import MISS, AnswerCache
-from .protocol import OPS, ProtocolError, decode_line, encode_message, parse_pairs
+from .protocol import (
+    MAX_LINE_BYTES,
+    OPS,
+    ProtocolError,
+    decode_line,
+    encode_message,
+    parse_pairs,
+)
 from .shm import ShmOracleTables
 from .workers import worker_answer, worker_init
 
@@ -68,6 +75,24 @@ def default_workers() -> int:
     if workers < 0:
         raise ParameterError(f"REPRO_SERVE_WORKERS must be >= 0, got {workers}")
     return workers
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Discard an over-limit request line through its newline (or EOF).
+
+    ``consumed`` bytes, known to hold no newline, go first; the rest of
+    the line may overrun the limit again, hence the loop.
+    """
+    try:
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+    except asyncio.IncompleteReadError:
+        return  # EOF inside the line: the next read reports it
 
 
 @dataclass(frozen=True)
@@ -143,7 +168,10 @@ class OracleServer:
             )
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+            self._on_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -202,7 +230,22 @@ class OracleServer:
         stop_after = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF; a last unterminated line counts
+                except asyncio.LimitOverrunError as exc:
+                    await _skip_line(reader, exc.consumed)
+                    self.counters["requests"] += 1
+                    self.counters["errors"] += 1
+                    writer.write(encode_message({
+                        "id": None,
+                        "ok": False,
+                        "error": f"request line exceeds the "
+                                 f"{MAX_LINE_BYTES}-byte limit",
+                    }))
+                    await writer.drain()
+                    continue
                 if not line:
                     break
                 if not line.strip():

@@ -18,6 +18,8 @@ Response::
 
 ``ok: false`` responses carry ``error`` instead of a payload; the
 connection stays usable (a malformed line never kills the session).
+A request line longer than :data:`MAX_LINE_BYTES` is discarded unread
+and answered with ``{"id": null, "ok": false, ...}``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,19 @@ from typing import Sequence, Tuple
 
 from ..errors import ReproError
 
-__all__ = ["ProtocolError", "OPS", "decode_line", "encode_message", "parse_pairs"]
+__all__ = [
+    "ProtocolError",
+    "OPS",
+    "MAX_LINE_BYTES",
+    "decode_line",
+    "encode_message",
+    "parse_pairs",
+]
 
 #: The operations a request may name.
 OPS = ("distance", "route", "stats", "ping", "shutdown")
+#: Longest request line the daemon reads (asyncio's default stream limit).
+MAX_LINE_BYTES = 2**16
 
 
 class ProtocolError(ReproError):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import mpx
 from repro.baselines.distributed_mpx import partition_distributed
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.graphs import (
     Graph,
     bfs_distances,
@@ -141,3 +141,12 @@ class TestDistributedMPX:
     def test_invalid_beta(self):
         with pytest.raises(ParameterError):
             partition_distributed(path_graph(3), beta=-1.0)
+
+    def test_crash_through_decision_round_is_typed(self):
+        # Vertex 2 is down from pulse 1 on, so it never runs its decision
+        # round: a typed error naming it, not a bare assert (which would
+        # vanish under ``python -O`` and leak a None center).
+        with pytest.raises(SimulationError, match="vertex 2 was never assigned"):
+            partition_distributed(
+                path_graph(6), beta=0.5, seed=3, backend="async", faults="crash:2@1-"
+            )

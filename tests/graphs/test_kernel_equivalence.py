@@ -193,15 +193,16 @@ class TestActiveSetNotCorrupted:
         connected_components(graph, active=active)
         assert list(active) == before
 
-    def test_carve_scratch_restored(self, kernel_backend):
-        # carve_block shares one scratch mask across broadcasts; a second
-        # call with the same active set must see pristine state.
+    def test_carve_leaves_active_intact(self, kernel_backend):
+        # carve_block reads the active set's mask; a second call with the
+        # same active set must see pristine state.
         from repro.core.carving import carve_block
 
         graph = grid_graph(5, 5)
         active = ActiveSet.full(25)
         radii = {v: 1.5 for v in range(25)}
         first = carve_block(graph, active, radii)
+        assert list(active) == list(range(25))
         second = carve_block(graph, active, radii)
         assert first.block == second.block
         assert first.center_of == second.center_of

@@ -176,6 +176,22 @@ class TestErrorHandling:
                 stats = client.stats()
         assert stats["errors"] == 3
 
+    def test_oversized_line_is_rejected_and_the_session_continues(
+        self, grid_oracle
+    ):
+        # A 160 KB line, well past the daemon's 64 KiB line limit.
+        pairs = [(100, 143)] * 16_000
+        with ServerThread(grid_oracle) as thread:
+            with ServeClient(*thread.address) as client:
+                with pytest.raises(ProtocolError, match="65536-byte limit"):
+                    client.distances(pairs)
+                assert client.distances([(0, 1)]) == grid_oracle.distances(
+                    [(0, 1)]
+                )
+                stats = client.stats()
+        assert stats["errors"] == 1
+        assert stats["batched_pairs"] == 1
+
     def test_out_of_range_pair_never_reaches_the_batcher(self, grid_oracle):
         """Rejected requests must not poison the shared batch."""
         n = grid_oracle.graph.num_vertices
