@@ -51,10 +51,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.decomposition import NetworkDecomposition
-from repro.core.distributed_en import decompose_distributed
+from repro.core.distributed_en import _decide_batch, decompose_distributed
 from repro.core.params import Theorem1Schedule
 from repro.core.shifts import find_truncation_events, sample_phase_radii
-from repro.engine.en import BatchENPhases
+from repro.distributed.execution import BatchPhases
+from repro.engine import BatchEngine
 from repro.graphs import Graph, gnp_fast
 from repro.graphs.activeset import ActiveSet
 from repro.telemetry import (
@@ -83,7 +84,7 @@ def _baseline_decompose(graph: Graph, k: float, seed: int):
     baseline does all the same non-telemetry work.
     """
     schedule = Theorem1Schedule(n=max(graph.num_vertices, 1), k=k, c=4.0)
-    runner = BatchENPhases(graph, "toptwo")
+    runner = BatchPhases(BatchEngine(graph), 2, math.floor, _decide_batch)
     active = ActiveSet.full(graph.num_vertices)
     blocks: list[list[int]] = []
     centers: dict[int, int] = {}
@@ -98,13 +99,13 @@ def _baseline_decompose(graph: Graph, k: float, seed: int):
             find_truncation_events(radii, phase, getattr(schedule, "k", math.inf))
         )
         budget = max((math.floor(r) for r in radii.values()), default=0)
-        joined = runner.run_phase(phase, beta, budget, radii)
+        joined = runner.run_phase(phase, budget, radii)
         rounds_per_phase.append(budget + 2)
         blocks.append(sorted(joined))
         centers.update(joined)
         active -= joined.keys()
     decomposition = NetworkDecomposition.from_blocks(graph, blocks, centers)
-    return decomposition, runner.stats, phase, rounds_per_phase
+    return decomposition, runner.engine.stats, phase, rounds_per_phase
 
 
 def _arms(graph: Graph, k: float, sink_path: str):

@@ -26,18 +26,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.decomposition import Cluster, NetworkDecomposition
+from ..distributed.execution import Execution
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm, algorithm_at
-from ..distributed.synchronizer import build_network
-from ..errors import ParameterError, SimulationError
+from ..distributed.node import Context, NodeAlgorithm
+from ..errors import ParameterError
 from ..graphs.activeset import ActiveSet
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
-from ..telemetry import maybe_span, resolve
 from .linial_saks import sample_ls_radius
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.broadcast import ShiftedFlood
     from ..telemetry import Telemetry
 
 __all__ = ["LSNodeAlgorithm", "DistributedLSResult", "decompose_distributed"]
@@ -54,7 +54,7 @@ class LSNodeAlgorithm(NodeAlgorithm):
         self.seed = seed
         self.p = p
         self.k = k
-        self.active_neighbors: set[int] | None = None
+        self.active_neighbors: set[int] = set()
         self.joined_phase: int | None = None
         self.center: int | None = None
         # Per-phase state.
@@ -79,7 +79,6 @@ class LSNodeAlgorithm(NodeAlgorithm):
 
     def on_round(self, ctx: Context, inbox: Sequence[Message]) -> None:
         self.round_in_phase += 1
-        assert self.active_neighbors is not None
         for message in inbox:
             payload = message.payload
             if payload[0] == _LEFT:
@@ -117,6 +116,13 @@ class LSNodeAlgorithm(NodeAlgorithm):
             self.center = winner
 
 
+def _decide_batch(flood: ShiftedFlood, live: Sequence[int]) -> dict[int, int]:
+    """:meth:`LSNodeAlgorithm._decide` over the batch flood's summaries: the
+    minimum origin heard wins iff its value arrived with distance < radius."""
+    min_origin, min_shifted = flood.min_origin, flood.min_shifted
+    return {v: min_origin[v] for v in live if min_shifted[v] > 0}
+
+
 @dataclass
 class DistributedLSResult:
     """Outcome of a distributed Linial–Saks run."""
@@ -130,56 +136,6 @@ class DistributedLSResult:
     def total_rounds(self) -> int:
         """Total communication rounds."""
         return sum(self.rounds_per_phase)
-
-
-class _SyncLSPhases:
-    """Reference phase executor (one :class:`LSNodeAlgorithm` per vertex),
-    on :class:`SyncNetwork` or — with ``backend="async"`` — the
-    α-synchronized :class:`~repro.distributed.async_net.AsyncNetwork`."""
-
-    def __init__(
-        self, graph: Graph, seed: int, p: float, k: int, word_budget, rounds=None,
-        causal=None, backend: str = "sync", delivery: str = "fifo", faults=None,
-    ) -> None:
-        self._network = build_network(
-            graph,
-            [LSNodeAlgorithm(v, seed, p, k) for v in range(graph.num_vertices)],
-            seed=seed,
-            word_budget=word_budget,
-            rounds=rounds,
-            causal=causal,
-            backend=backend,
-            delivery=delivery,
-            faults=faults,
-        )
-        self._network.start()
-
-    @property
-    def stats(self) -> NetworkStats:
-        return self._network.stats
-
-    @property
-    def async_stats(self):
-        """Adversary counters (``None`` on the sync engine)."""
-        return getattr(self._network, "async_stats", None)
-
-    def finish(self) -> None:
-        self._network.finish_rounds()
-
-    def run_phase(self, phase, budget, radii):
-        for v in radii:
-            algorithm_at(self._network, v, LSNodeAlgorithm).begin_phase(phase, budget)
-        self._network.run_rounds(budget + 2)
-        joined: dict[int, int] = {}
-        for v in radii:
-            algorithm = algorithm_at(self._network, v, LSNodeAlgorithm)
-            if algorithm.joined_phase == phase:
-                if algorithm.center is None:
-                    raise SimulationError(
-                        f"vertex {v} joined in phase {phase} without a center"
-                    )
-                joined[v] = algorithm.center
-        return joined
 
 
 def decompose_distributed(
@@ -201,8 +157,8 @@ def decompose_distributed(
     ``adaptive_phase_length`` chooses ``B_t = max r_v`` (driver-computed)
     instead of the fixed worst case ``k``.  ``backend="batch"`` runs the
     identical protocol on the columnar round engine
-    (:class:`repro.engine.ls.BatchLSPhases`) — bit-identical outputs and
-    stats, engine-speed execution.  ``backend="async"`` steps the node
+    (:class:`repro.distributed.execution.BatchPhases`) — bit-identical
+    outputs and stats, engine-speed execution.  ``backend="async"`` steps the node
     algorithms on the α-synchronized asynchronous engine under a
     ``delivery`` schedule and optional ``faults`` plan (``docs/async.md``)
     — bit-identical to ``"sync"`` for fault-free FIFO runs.
@@ -211,14 +167,10 @@ def decompose_distributed(
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if backend not in ("sync", "batch", "async"):
-        raise ParameterError(
-            f"backend must be 'sync', 'batch' or 'async', got {backend!r}"
-        )
-    if backend != "async" and (delivery != "fifo" or faults not in (None, "", "none")):
-        raise ParameterError(
-            f"delivery/faults require backend='async', got backend={backend!r}"
-        )
+    execution = Execution(
+        graph, "ls", seed=seed, word_budget=word_budget, backend=backend,
+        delivery=delivery, faults=faults, telemetry=telemetry,
+    )
     n = graph.num_vertices
     if p is None:
         p = float(max(n, 2)) ** (-1.0 / k)
@@ -229,69 +181,45 @@ def decompose_distributed(
     )
     if max_phases is None:
         max_phases = 10 * nominal + 100
-    tel = resolve(telemetry)
-    rounds = (
-        tel.round_stream("ls.rounds", backend=backend) if tel is not None else None
+    # Integer radii are their own broadcast caps; every new value is forwarded.
+    runner = execution.runner(
+        lambda v: LSNodeAlgorithm(v, seed, p, k), LSNodeAlgorithm, "full", int,
+        _decide_batch,
     )
-    causal = tel.causal_log("ls.causal") if tel is not None else None
-    if backend in ("sync", "async"):
-        runner = _SyncLSPhases(
-            graph, seed, p, k, word_budget, rounds, causal,
-            backend=backend, delivery=delivery, faults=faults,
-        )
-    else:
-        from ..engine.ls import BatchLSPhases
 
-        runner = BatchLSPhases(graph, word_budget, rounds=rounds, causal=causal)
-    active = ActiveSet.full(n)
+    def step(phase: int, active: ActiveSet) -> tuple[int, dict[int, int]]:
+        radii = {v: sample_ls_radius(seed, phase, v, p, k) for v in active}
+        budget = max(radii.values(), default=0) if adaptive_phase_length else k
+        return budget, runner.run_phase(
+            phase, budget, radii, lambda node: node.begin_phase(phase, budget)
+        )
+
+    joins, rounds_per_phase = execution.phases(
+        step,
+        max_phases,
+        f"LS protocol did not exhaust the graph within {max_phases} phases",
+        "ls.decompose",
+        "ls.phase_seconds",
+        n=n,
+        k=k,
+    )
     clusters: list[Cluster] = []
-    rounds_per_phase: list[int] = []
-    phase = 0
-    span_attrs = {"backend": backend, "n": n, "k": k}
-    if backend == "async":
-        span_attrs["delivery"] = delivery
-        span_attrs["faults"] = faults or "none"
-    phase_hist = tel.histogram("ls.phase_seconds") if tel is not None else None
-    with maybe_span(tel, "ls.decompose", **span_attrs) as run_span:
-        while active:
-            phase += 1
-            if phase > max_phases:
-                raise SimulationError(
-                    f"LS protocol did not exhaust the graph within {max_phases} phases"
+    for color, joined in enumerate(joins):
+        by_center: dict[int, list[int]] = {}
+        for v, center in joined.items():
+            by_center.setdefault(center, []).append(v)
+        for center in sorted(by_center):
+            clusters.append(
+                Cluster(
+                    index=len(clusters),
+                    color=color,
+                    vertices=frozenset(by_center[center]),
+                    center=center,
                 )
-            radii = {v: sample_ls_radius(seed, phase, v, p, k) for v in active}
-            budget = max(radii.values(), default=0) if adaptive_phase_length else k
-            with maybe_span(tel, "phase", phase=phase) as phase_span:
-                joined = runner.run_phase(phase, budget, radii)
-                if phase_span is not None:
-                    phase_span.annotate(budget=budget)
-                    phase_span.add("joined", len(joined))
-            if phase_span is not None:
-                phase_hist.record(phase_span.seconds)
-            rounds_per_phase.append(budget + 2)
-            by_center: dict[int, list[int]] = {}
-            for v, center in joined.items():
-                by_center.setdefault(center, []).append(v)
-            for center in sorted(by_center):
-                clusters.append(
-                    Cluster(
-                        index=len(clusters),
-                        color=phase - 1,
-                        vertices=frozenset(by_center[center]),
-                        center=center,
-                    )
-                )
-            active -= joined.keys()
-        if tel is not None:
-            runner.finish()
-            run_span.add("phases", phase)
-            run_span.add("rounds", sum(rounds_per_phase))
-            async_stats = getattr(runner, "async_stats", None)
-            if async_stats is not None:
-                run_span.annotate(**async_stats.as_dict())
+            )
     return DistributedLSResult(
         decomposition=NetworkDecomposition(graph, clusters),
-        stats=runner.stats,
-        phases=phase,
+        stats=execution.stats,
+        phases=len(joins),
         rounds_per_phase=rounds_per_phase,
     )

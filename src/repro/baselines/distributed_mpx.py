@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from ..core.decomposition import Cluster, NetworkDecomposition
+from ..distributed.execution import BatchPhases, Execution
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
 from ..distributed.node import Context, NodeAlgorithm, algorithm_at
-from ..distributed.synchronizer import build_network
 from ..errors import ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
-from ..telemetry import maybe_span, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -137,11 +136,12 @@ def partition_distributed(
     The flood length ``B = max ⌊δ_v⌋`` is computed by the driver from the
     shared shift streams (the standard w.h.p. bound is
     ``O(log n / β)``); the run then takes ``B + 1`` rounds.
-    ``backend="batch"`` runs the identical competition on the columnar
-    round engine (:func:`repro.engine.mpx.run_mpx_batch`) — bit-identical
-    assignment and stats.  ``backend="async"`` runs it on the
-    α-synchronized asynchronous engine under a ``delivery`` schedule and
-    optional ``faults`` plan (``docs/async.md``); note the one-shot
+    ``backend="batch"`` runs the identical competition as one
+    :class:`~repro.distributed.execution.BatchPhases` flood on the
+    columnar round engine — bit-identical assignment and stats.
+    ``backend="async"`` runs it on the α-synchronized asynchronous engine
+    under a ``delivery`` schedule and optional ``faults`` plan
+    (``docs/async.md``); note the one-shot
     competition requires every vertex to decide, so fault plans that
     crash a node through its decision round raise
     :class:`~repro.errors.SimulationError` naming it — use drop faults
@@ -153,51 +153,31 @@ def partition_distributed(
         raise ParameterError(f"beta must be positive, got {beta}")
     if mode not in ("full", "topone"):
         raise ParameterError(f"mode must be 'full' or 'topone', got {mode!r}")
-    if backend not in ("sync", "batch", "async"):
-        raise ParameterError(
-            f"backend must be 'sync', 'batch' or 'async', got {backend!r}"
-        )
-    if backend != "async" and (delivery != "fifo" or faults not in (None, "", "none")):
-        raise ParameterError(
-            f"delivery/faults require backend='async', got backend={backend!r}"
-        )
-    n = graph.num_vertices
-    tel = resolve(telemetry)
-    rounds = (
-        tel.round_stream("mpx.rounds", backend=backend, mode=mode)
-        if tel is not None
-        else None
+    execution = Execution(
+        graph, "mpx", seed=seed, word_budget=word_budget, backend=backend,
+        delivery=delivery, faults=faults, telemetry=telemetry, mode=mode,
     )
-    causal = tel.causal_log("mpx.causal") if tel is not None else None
+    n = graph.num_vertices
     shifts = {
         v: stream(seed, "mpx-shift", v).expovariate(beta) for v in range(n)
     }
     budget = max((math.floor(s) for s in shifts.values()), default=0)
-    span_attrs = {"backend": backend, "mode": mode, "n": n}
-    if backend == "async":
-        span_attrs["delivery"] = delivery
-        span_attrs["faults"] = faults or "none"
-    with maybe_span(tel, "mpx.partition", **span_attrs) as run_span:
-        if backend == "batch":
-            from ..engine.mpx import run_mpx_batch
-
-            center_of, stats = run_mpx_batch(
-                graph, shifts, budget, mode, word_budget, rounds=rounds,
-                causal=causal,
+    with execution.span(
+        "mpx.partition", "mpx.partition_seconds", mode=mode, n=n
+    ) as run_span:
+        if execution.batch:
+            runner = BatchPhases(
+                execution.batch_engine(), "full" if mode == "full" else 1, math.floor
             )
+            best_origin = runner.flood(shifts, budget).best_origin
+            center_of = {v: best_origin[v] for v in range(n)}
+            runner.engine.halt(range(n))
         else:
             algorithms = [MPXNodeAlgorithm(v, seed, beta, mode) for v in range(n)]
             for algorithm in algorithms:
                 algorithm.configure(budget)
-            network = build_network(
-                graph, algorithms, seed=seed, word_budget=word_budget,
-                rounds=rounds, causal=causal, backend=backend,
-                delivery=delivery, faults=faults,
-            )
-            network.start()
+            network = execution.network(algorithms)
             network.run_rounds(budget + 1)
-            network.finish_rounds()
-            stats = network.stats
             center_of = {}
             for v in range(n):
                 algorithm = algorithm_at(network, v, MPXNodeAlgorithm)
@@ -209,11 +189,6 @@ def partition_distributed(
                 center_of[v] = algorithm.center
         if run_span is not None:
             run_span.add("rounds", budget + 1)
-            async_stats = getattr(network, "async_stats", None) if backend == "async" else None
-            if async_stats is not None:
-                run_span.annotate(**async_stats.as_dict())
-    if run_span is not None:
-        tel.histogram("mpx.partition_seconds").record(run_span.seconds)
     by_center: dict[int, list[int]] = {}
     for v, center in center_of.items():
         by_center.setdefault(center, []).append(v)
@@ -225,7 +200,7 @@ def partition_distributed(
     return DistributedMPXResult(
         decomposition=NetworkDecomposition(graph, clusters),
         center_of=center_of,
-        stats=stats,
+        stats=execution.stats,
         rounds=budget + 1,
         cut_edges=cut,
         cut_fraction=cut / graph.num_edges if graph.num_edges else 0.0,

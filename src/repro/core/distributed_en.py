@@ -45,20 +45,20 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, Sequence
 
+from ..distributed.execution import Execution
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm, algorithm_at
-from ..distributed.synchronizer import build_network
-from ..errors import ParameterError, SimulationError
+from ..distributed.node import Context, NodeAlgorithm
+from ..errors import ParameterError
 from ..graphs.activeset import ActiveSet
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
-from ..telemetry import maybe_span, resolve
 from .decomposition import NetworkDecomposition
 from .params import PhaseSchedule, Theorem1Schedule
 from .shifts import TruncationEvent, find_truncation_events, sample_phase_radii, sample_radius
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.broadcast import ShiftedFlood
     from ..telemetry import Telemetry
 
 __all__ = ["ENNodeAlgorithm", "DistributedRunResult", "decompose_distributed"]
@@ -84,7 +84,7 @@ class ENNodeAlgorithm(NodeAlgorithm):
         self.seed = seed
         self.mode: ForwardMode = mode
         # Lifetime state.
-        self.active_neighbors: set[int] | None = None
+        self.active_neighbors: set[int] = set()
         self.joined_phase: int | None = None
         self.center: int | None = None
         # Per-phase state.
@@ -123,7 +123,6 @@ class ENNodeAlgorithm(NodeAlgorithm):
 
     def on_round(self, ctx: Context, inbox: Sequence[Message]) -> None:
         self.round_in_phase += 1
-        assert self.active_neighbors is not None
         for message in inbox:
             payload = message.payload
             if payload[0] == _LEFT:
@@ -157,7 +156,6 @@ class ENNodeAlgorithm(NodeAlgorithm):
         return radius - distance
 
     def _forward(self, ctx: Context) -> None:
-        assert self.active_neighbors is not None
         if self.mode == "full":
             outgoing = [o for o in self._new_origins if self._eligible(o)]
         else:
@@ -188,6 +186,18 @@ class ENNodeAlgorithm(NodeAlgorithm):
         if best - second > 1.0:
             self.joined_phase = self.phase
             self.center = best_origin
+
+
+def _decide_batch(flood: ShiftedFlood, live: Sequence[int]) -> dict[int, int]:
+    """:meth:`ENNodeAlgorithm._decide` over the batch flood's summaries."""
+    best_value, second_value = flood.best_value, flood.second_value
+    best_origin, num_entries = flood.best_origin, flood.num_entries
+    joined: dict[int, int] = {}
+    for v in live:
+        second = second_value[v] if num_entries[v] > 1 else 0.0
+        if best_value[v] - second > 1.0:
+            joined[v] = best_origin[v]
+    return joined
 
 
 @dataclass
@@ -225,67 +235,6 @@ class DistributedRunResult:
     def total_rounds(self) -> int:
         """Total communication rounds across all phases."""
         return sum(self.rounds_per_phase)
-
-
-class _SyncENPhases:
-    """Reference phase executor: one :class:`ENNodeAlgorithm` per vertex
-    stepped by :class:`SyncNetwork` (the pre-batch-engine behaviour,
-    preserved verbatim) — or, with ``backend="async"``, by the
-    α-synchronized :class:`~repro.distributed.async_net.AsyncNetwork`
-    under a delivery schedule and fault plan."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        seed: int,
-        mode: ForwardMode,
-        word_budget: int | None,
-        rounds=None,
-        causal=None,
-        backend: str = "sync",
-        delivery: str = "fifo",
-        faults=None,
-    ) -> None:
-        self._seed = seed
-        self._network = build_network(
-            graph,
-            [ENNodeAlgorithm(v, seed, mode) for v in range(graph.num_vertices)],
-            seed=seed,
-            word_budget=word_budget,
-            rounds=rounds,
-            causal=causal,
-            backend=backend,
-            delivery=delivery,
-            faults=faults,
-        )
-        self._network.start()
-
-    @property
-    def stats(self) -> NetworkStats:
-        return self._network.stats
-
-    @property
-    def async_stats(self):
-        """Adversary counters (``None`` on the sync engine)."""
-        return getattr(self._network, "async_stats", None)
-
-    def finish(self) -> None:
-        self._network.finish_rounds()
-
-    def run_phase(self, phase, beta, budget, radii):
-        # Nodes re-derive their own radii from (seed, phase, beta); the
-        # driver's ``radii`` dict doubles as the live-vertex list here.
-        for v in radii:
-            algorithm_at(self._network, v, ENNodeAlgorithm).begin_phase(
-                phase, beta, budget
-            )
-        self._network.run_rounds(budget + 2)
-        joined: dict[int, int] = {}
-        for v in radii:
-            algorithm = algorithm_at(self._network, v, ENNodeAlgorithm)
-            if algorithm.joined_phase == phase:
-                joined[v] = algorithm.center if algorithm.center is not None else v
-        return joined
 
 
 def decompose_distributed(
@@ -332,7 +281,7 @@ def decompose_distributed(
         ``"sync"`` (default) steps one :class:`ENNodeAlgorithm` per vertex
         through :class:`SyncNetwork` — the reference implementation.
         ``"batch"`` executes the identical protocol columnarly on the
-        batch round engine (:class:`repro.engine.en.BatchENPhases`);
+        batch round engine (:class:`repro.distributed.execution.BatchPhases`);
         outputs, round counts and stats are bit-identical, only the
         wall-clock differs (see ``benchmarks/bench_engine.py``).
         ``"async"`` steps the same node algorithms on the α-synchronized
@@ -360,98 +309,63 @@ def decompose_distributed(
     """
     if mode not in ("full", "toptwo"):
         raise ParameterError(f"mode must be 'full' or 'toptwo', got {mode!r}")
-    if backend not in ("sync", "batch", "async"):
-        raise ParameterError(
-            f"backend must be 'sync', 'batch' or 'async', got {backend!r}"
-        )
-    if backend != "async" and (delivery != "fifo" or faults not in (None, "", "none")):
-        raise ParameterError(
-            f"delivery/faults require backend='async', got backend={backend!r}"
-        )
+    execution = Execution(
+        graph, "en", seed=seed, word_budget=word_budget, backend=backend,
+        delivery=delivery, faults=faults, telemetry=telemetry, mode=mode,
+    )
     if schedule is None:
         if k is None:
             raise ParameterError("either k or an explicit schedule is required")
         schedule = Theorem1Schedule(n=max(graph.num_vertices, 1), k=k, c=c)
     if max_phases is None:
         max_phases = 10 * schedule.nominal_phases + 100
-    n = graph.num_vertices
-    tel = resolve(telemetry)
-    rounds = (
-        tel.round_stream("en.rounds", backend=backend, mode=mode)
-        if tel is not None
-        else None
+    runner = execution.runner(
+        lambda v: ENNodeAlgorithm(v, seed, mode),
+        ENNodeAlgorithm,
+        "full" if mode == "full" else 2,
+        math.floor,
+        _decide_batch,
     )
-    causal = tel.causal_log("en.causal") if tel is not None else None
-    if backend in ("sync", "async"):
-        runner = _SyncENPhases(
-            graph, seed, mode, word_budget, rounds, causal,
-            backend=backend, delivery=delivery, faults=faults,
-        )
-    else:
-        from ..engine.en import BatchENPhases
-
-        runner = BatchENPhases(graph, mode, word_budget, rounds=rounds, causal=causal)
-    active = ActiveSet.full(n)
-    blocks: list[list[int]] = []
-    centers: dict[int, int] = {}
-    rounds_per_phase: list[int] = []
     truncations: list[TruncationEvent] = []
-    phase = 0
-    span_attrs = {"backend": backend, "mode": mode, "n": n}
-    if backend == "async":
-        # The replay key: (seed, delivery, faults) pins the adversary.
-        span_attrs["delivery"] = delivery
-        span_attrs["faults"] = faults or "none"
-    phase_hist = tel.histogram("en.phase_seconds") if tel is not None else None
-    with maybe_span(tel, "en.decompose", **span_attrs) as run_span:
-        while active:
-            phase += 1
-            if phase > max_phases:
-                raise SimulationError(
-                    f"graph not exhausted after {max_phases} phases "
-                    f"(nominal budget {schedule.nominal_phases})"
-                )
-            beta = schedule.beta(phase)
-            with maybe_span(tel, "phase", phase=phase) as phase_span:
-                # Driver-side rederivation of the radii (control plane
-                # bookkeeping only — each node draws its own value from the
-                # same stream; the batch executor consumes these exact values).
-                radii = sample_phase_radii(seed, phase, active, beta)
-                truncations.extend(
-                    find_truncation_events(
-                        radii, phase, getattr(schedule, "k", math.inf)
-                    )
-                )
-                if adaptive_phase_length:
-                    budget = max(
-                        (math.floor(r) for r in radii.values()), default=0
-                    )
-                else:
-                    budget = schedule.range_cap(phase)
-                joined = runner.run_phase(phase, beta, budget, radii)
-                if phase_span is not None:
-                    phase_span.annotate(budget=budget)
-                    phase_span.add("joined", len(joined))
-            if phase_span is not None:
-                phase_hist.record(phase_span.seconds)
-            rounds_per_phase.append(budget + 2)
-            blocks.append(sorted(joined))
-            centers.update(joined)
-            active -= joined.keys()
-        if tel is not None:
-            runner.finish()
-            run_span.add("phases", phase)
-            run_span.add("rounds", sum(rounds_per_phase))
-            async_stats = getattr(runner, "async_stats", None)
-            if async_stats is not None:
-                run_span.annotate(**async_stats.as_dict())
-    decomposition = NetworkDecomposition.from_blocks(graph, blocks, centers)
+
+    def step(phase: int, active: ActiveSet) -> tuple[int, dict[int, int]]:
+        beta = schedule.beta(phase)
+        # Driver-side rederivation of the radii (control plane bookkeeping
+        # only — each node draws its own value from the same stream; the
+        # batch runner consumes these exact values).
+        radii = sample_phase_radii(seed, phase, active, beta)
+        truncations.extend(
+            find_truncation_events(radii, phase, getattr(schedule, "k", math.inf))
+        )
+        if adaptive_phase_length:
+            budget = max((math.floor(r) for r in radii.values()), default=0)
+        else:
+            budget = schedule.range_cap(phase)
+        return budget, runner.run_phase(
+            phase, budget, radii, lambda node: node.begin_phase(phase, beta, budget)
+        )
+
+    joins, rounds_per_phase = execution.phases(
+        step,
+        max_phases,
+        f"graph not exhausted after {max_phases} phases "
+        f"(nominal budget {schedule.nominal_phases})",
+        "en.decompose",
+        "en.phase_seconds",
+        mode=mode,
+        n=graph.num_vertices,
+    )
+    centers = {v: center for joined in joins for v, center in joined.items()}
+    decomposition = NetworkDecomposition.from_blocks(
+        graph, [sorted(joined) for joined in joins], centers
+    )
+    phases = len(joins)
     return DistributedRunResult(
         decomposition=decomposition,
-        stats=runner.stats,
-        phases=phase,
+        stats=execution.stats,
+        phases=phases,
         rounds_per_phase=rounds_per_phase,
         nominal_phases=schedule.nominal_phases,
-        exhausted_within_nominal=phase <= schedule.nominal_phases,
+        exhausted_within_nominal=phases <= schedule.nominal_phases,
         truncation_events=truncations,
     )

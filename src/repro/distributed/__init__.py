@@ -26,7 +26,7 @@ from .metrics import NetworkStats
 from .network import SyncNetwork
 from .node import Context, NodeAlgorithm
 from .schedule import Schedule, parse_schedule
-from .synchronizer import AlphaSynchronizer, build_network
+from .synchronizer import AlphaSynchronizer
 from .protocols import (
     BFSTreeNode,
     ConvergecastSumNode,
@@ -37,7 +37,6 @@ from .protocols import (
     run_flood,
     run_leader_election,
 )
-from .tracing import TraceEvent, TraceRecorder
 
 __all__ = [
     "AlphaSynchronizer",
@@ -55,9 +54,6 @@ __all__ = [
     "NodeAlgorithm",
     "Schedule",
     "SyncNetwork",
-    "TraceEvent",
-    "TraceRecorder",
-    "build_network",
     "live_networks",
     "parse_schedule",
     "payload_words",

@@ -59,13 +59,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..errors import CongestViolation, ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
+from ..telemetry.events import EventRecorder
 from .faults import FaultPlan
 from .message import Message
 from .metrics import NetworkStats
 from .node import Context, NodeAlgorithm
 from .schedule import Schedule, parse_schedule
 from .synchronizer import AlphaSynchronizer
-from .tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -133,7 +133,7 @@ class AsyncNetwork:
         algorithms: Sequence[NodeAlgorithm] | Callable[[int], NodeAlgorithm],
         seed: int = DEFAULT_SEED,
         word_budget: int | None = None,
-        tracer: "TraceRecorder | None" = None,
+        tracer: "EventRecorder | None" = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
         delivery: "str | Schedule | None" = "fifo",

@@ -25,10 +25,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..errors import CongestViolation, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
+from ..telemetry.events import EventRecorder
 from .message import Message
 from .metrics import NetworkStats
 from .node import Context, NodeAlgorithm
-from .tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -94,7 +94,7 @@ class SyncNetwork:
         algorithms: Sequence[NodeAlgorithm] | Callable[[int], NodeAlgorithm],
         seed: int = DEFAULT_SEED,
         word_budget: int | None = None,
-        tracer: "TraceRecorder | None" = None,
+        tracer: "EventRecorder | None" = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:

@@ -17,10 +17,9 @@ per-vertex arrays and the CSR buffers of
 * :mod:`~repro.engine.protocols` — batch ports of flood, BFS tree,
   convergecast and leader election;
 * :mod:`~repro.engine.broadcast` — the shifted-value flood epoch shared
-  by the decomposition protocols;
-* :mod:`~repro.engine.en` / :mod:`~repro.engine.ls` /
-  :mod:`~repro.engine.mpx` — phase executors behind the ``backend="batch"``
-  parameter of the distributed EN / LS / MPX drivers.
+  by the decomposition protocols, run behind the ``backend="batch"``
+  parameter of the distributed EN / LS / MPX drivers by
+  :class:`~repro.distributed.execution.BatchPhases`.
 
 Everything here is pinned bit-identical to the reference simulator by
 the equivalence suite in ``tests/engine`` — outputs, round counts,

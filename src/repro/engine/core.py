@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.tracing import TraceRecorder
 from ..errors import CongestViolation
 from ..graphs.graph import Graph
+from ..telemetry.events import EventRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -46,7 +46,7 @@ class BatchEngine:
         Per-directed-edge, per-round word limit (CONGEST mode), or
         ``None`` for the LOCAL model (unbounded but measured).
     tracer:
-        Optional :class:`TraceRecorder`; when attached, protocols emit
+        Optional :class:`EventRecorder`; when attached, protocols emit
         the same send/halt events the reference engine would.
     rounds:
         Optional :class:`~repro.telemetry.rounds.RoundStream`; when
@@ -67,7 +67,7 @@ class BatchEngine:
         self,
         graph: Graph,
         word_budget: int | None = None,
-        tracer: TraceRecorder | None = None,
+        tracer: EventRecorder | None = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from ..distributed.metrics import NetworkStats
-from ..distributed.tracing import TraceRecorder
 from ..graphs._kernel import bfs_levels, gather_frontier_rows
 from ..graphs.graph import Graph
+from ..telemetry.events import EventRecorder
 from . import _backend
 from .core import BatchEngine
 from .primitives import scatter_min
@@ -125,7 +125,7 @@ def flood(
     graph: Graph,
     root: int,
     word_budget: int | None = None,
-    tracer: TraceRecorder | None = None,
+    tracer: EventRecorder | None = None,
 ) -> FloodResult:
     """Batch counterpart of :func:`repro.distributed.protocols.run_flood`."""
     return BatchFlood(root).run(BatchEngine(graph, word_budget, tracer))
@@ -232,7 +232,7 @@ def bfs_tree(
     graph: Graph,
     root: int,
     word_budget: int | None = None,
-    tracer: TraceRecorder | None = None,
+    tracer: EventRecorder | None = None,
 ) -> BFSTreeResult:
     """Batch counterpart of :func:`repro.distributed.protocols.run_bfs_tree`."""
     return BatchBFSTree(root).run(BatchEngine(graph, word_budget, tracer))
@@ -340,7 +340,7 @@ def convergecast_sum(
     root: int,
     values: Mapping[int, float],
     word_budget: int | None = None,
-    tracer: TraceRecorder | None = None,
+    tracer: EventRecorder | None = None,
 ) -> ConvergecastResult:
     """Batch counterpart of :func:`run_convergecast_sum`.
 
@@ -446,7 +446,7 @@ class BatchLeaderElection(BatchProtocol):
 def leader_election(
     graph: Graph,
     word_budget: int | None = None,
-    tracer: TraceRecorder | None = None,
+    tracer: EventRecorder | None = None,
 ) -> LeaderElectionResult:
     """Batch counterpart of :func:`run_leader_election`."""
     return BatchLeaderElection().run(BatchEngine(graph, word_budget, tracer))

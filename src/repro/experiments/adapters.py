@@ -359,6 +359,42 @@ def _adapt_oracle(graph: Graph, trial: TrialSpec) -> Record:
     }
 
 
+def _run_distributed(leg: str, graph: Graph, trial: TrialSpec, **options):
+    """Run the trial's ``algo`` (EN, LS or MPX distributed driver).
+
+    Returns ``(result, rounds, phases)``; MPX counts as one phase.
+    ``options`` (backend, delivery, faults, telemetry) pass through to
+    the driver; ``leg`` names the adapter in the unknown-algo error.
+    """
+    params = trial.param_dict()
+    algo = params.get("algo", "en")
+    if algo == "en":
+        result = decompose_distributed(
+            graph,
+            k=_default_k(graph, params),
+            c=params.get("c", 4.0),
+            seed=trial.seed,
+            mode=params.get("mode", "toptwo"),
+            **options,
+        )
+        return result, result.total_rounds, result.phases
+    if algo == "ls":
+        result = distributed_ls.decompose_distributed(
+            graph, k=int(_default_k(graph, params)), seed=trial.seed, **options
+        )
+        return result, result.total_rounds, result.phases
+    if algo == "mpx":
+        result = distributed_mpx.partition_distributed(
+            graph,
+            beta=params.get("beta", 0.3),
+            seed=trial.seed,
+            mode=params.get("mode", "topone"),
+            **options,
+        )
+        return result, result.rounds, 1
+    raise ParameterError(f"{leg} algo must be 'en', 'ls' or 'mpx', got {algo!r}")
+
+
 def _adapt_shootout(graph: Graph, trial: TrialSpec) -> Record:
     """Protocol race leg: one of EN/LS/MPX on one backend, one graph.
 
@@ -376,40 +412,10 @@ def _adapt_shootout(graph: Graph, trial: TrialSpec) -> Record:
     params = trial.param_dict()
     algo = params.get("algo", "en")
     backend = params.get("backend", "batch")
-    if algo == "en":
-        result = decompose_distributed(
-            graph,
-            k=_default_k(graph, params),
-            c=params.get("c", 4.0),
-            seed=trial.seed,
-            mode=params.get("mode", "toptwo"),
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.total_rounds, result.phases, result.stats
-    elif algo == "ls":
-        result = distributed_ls.decompose_distributed(
-            graph,
-            k=int(_default_k(graph, params)),
-            seed=trial.seed,
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.total_rounds, result.phases, result.stats
-    elif algo == "mpx":
-        result = distributed_mpx.partition_distributed(
-            graph,
-            beta=params.get("beta", 0.3),
-            seed=trial.seed,
-            mode=params.get("mode", "topone"),
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.rounds, 1, result.stats
-    else:
-        raise ParameterError(
-            f"shootout algo must be 'en', 'ls' or 'mpx', got {algo!r}"
-        )
+    result, rounds, phases = _run_distributed(
+        "shootout", graph, trial, backend=backend
+    )
+    decomposition, stats = result.decomposition, result.stats
     record: Record = {
         "n": graph.num_vertices,
         "m": graph.num_edges,
@@ -465,46 +471,14 @@ def _adapt_robustness(graph: Graph, trial: TrialSpec) -> Record:
     faults = str(params.get("faults", "none"))
     fault_arg = None if faults in ("", "none") else faults
     tel = Telemetry()
-    if algo == "en":
-        kwargs = dict(
-            k=_default_k(graph, params),
-            c=params.get("c", 4.0),
-            seed=trial.seed,
-            mode=params.get("mode", "toptwo"),
-        )
-        run = decompose_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = decompose_distributed(graph, **kwargs)
-        rounds, phases = run.total_rounds, run.phases
-    elif algo == "ls":
-        kwargs = dict(k=int(_default_k(graph, params)), seed=trial.seed)
-        run = distributed_ls.decompose_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = distributed_ls.decompose_distributed(graph, **kwargs)
-        rounds, phases = run.total_rounds, run.phases
-    elif algo == "mpx":
-        kwargs = dict(
-            beta=params.get("beta", 0.3),
-            seed=trial.seed,
-            mode=params.get("mode", "topone"),
-        )
-        # The one-shot competition needs every vertex to decide, so
-        # robustness grids give MPX drop faults only (see the driver
-        # docstring); crash plans would trip the assignment assertion.
-        run = distributed_mpx.partition_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = distributed_mpx.partition_distributed(graph, **kwargs)
-        rounds, phases = run.rounds, 1
-    else:
-        raise ParameterError(
-            f"robustness algo must be 'en', 'ls' or 'mpx', got {algo!r}"
-        )
+    # The one-shot MPX competition needs every vertex to decide, so
+    # robustness grids give MPX drop faults only (see its driver
+    # docstring): a crash plan raises SimulationError naming the vertex.
+    run, rounds, phases = _run_distributed(
+        "robustness", graph, trial, backend="async", delivery=delivery,
+        faults=fault_arg, telemetry=tel,
+    )
+    ref = _run_distributed("robustness", graph, trial)[0]
     attrs = next(s for s in tel.spans if s["depth"] == 0)["attrs"]
     decomposition = run.decomposition
     record: Record = {

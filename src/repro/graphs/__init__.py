@@ -51,7 +51,6 @@ from .generators import (
     watts_strogatz,
 )
 from .graph import Edge, Graph, GraphBuilder
-from .io import read_edge_list, to_dot, write_edge_list
 from .metrics import (
     all_pairs_distances,
     average_distance,
@@ -60,14 +59,6 @@ from .metrics import (
     radius,
     strong_diameter,
     weak_diameter,
-)
-from .properties import (
-    core_numbers,
-    degeneracy,
-    density,
-    global_clustering_coefficient,
-    local_clustering_coefficient,
-    triangle_count,
 )
 from .subgraph import induced_subgraph, quotient_graph, relabel
 from .transforms import line_graph, power_graph
@@ -117,10 +108,6 @@ __all__ = [
     "star_graph",
     "torus_graph",
     "watts_strogatz",
-    # io
-    "read_edge_list",
-    "to_dot",
-    "write_edge_list",
     # metrics
     "all_pairs_distances",
     "average_distance",
@@ -129,13 +116,6 @@ __all__ = [
     "radius",
     "strong_diameter",
     "weak_diameter",
-    # properties
-    "core_numbers",
-    "degeneracy",
-    "density",
-    "global_clustering_coefficient",
-    "local_clustering_coefficient",
-    "triangle_count",
     # subgraph
     "induced_subgraph",
     "quotient_graph",

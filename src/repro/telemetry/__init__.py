@@ -23,9 +23,8 @@ timings and the campaign runtime's per-trial accounting:
   bounded append-only JSONL file
   (:class:`~repro.telemetry.sink.JsonlSink`) that is schema-versioned
   and torn-tail tolerant like the campaign journal;
-* the legacy :class:`~repro.telemetry.events.EventRecorder` (né
-  ``TraceRecorder``) remains available as a per-message compatibility
-  subscriber of the same engines;
+* per-message events (:class:`~repro.telemetry.events.EventRecorder`):
+  the send/halt stream of the same engines, one record per message;
 * **histograms** (:class:`~repro.telemetry.hist.LogHistogram`):
   mergeable log-bucketed latency distributions with deterministic
   boundaries — round streams feed per-round wall time into them and the

@@ -1,11 +1,10 @@
-"""Per-message event tracing (the absorbed ``TraceRecorder``).
+"""Per-message event tracing.
 
-This is the canonical home of the simulator's send/halt event stream,
-previously ``repro.distributed.tracing`` (which now re-exports these
-names for compatibility).  An :class:`EventRecorder` attaches to either
-engine — ``SyncNetwork(tracer=...)`` or ``BatchEngine(..., tracer=...)``
-— and records the identical, bit-for-bit event stream both produce
-(pinned by ``tests/engine/test_congest_tracing.py``).
+The simulator's send/halt event stream.  An :class:`EventRecorder`
+attaches to either engine — ``SyncNetwork(tracer=...)`` or
+``BatchEngine(..., tracer=...)`` — and records the identical,
+bit-for-bit event stream both produce (pinned by
+``tests/engine/test_congest_tracing.py``).
 
 Within the telemetry layer the recorder is *one subscriber* of the
 engine hooks, alongside the aggregated

@@ -208,12 +208,12 @@ def test_lamport_order_invariant_under_delivery_permutation(
 
 
 def test_fifo_trace_events_identical_to_sync():
-    from repro.distributed import TraceRecorder
+    from repro.telemetry.events import EventRecorder
 
     graph = erdos_renyi(24, 0.2, seed=9)
     traces = []
     for engine in (SyncNetwork, AsyncNetwork):
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         net = engine(graph, lambda v: FloodNode(v, 0), seed=4, tracer=tracer)
         net.run_until_quiet()
         traces.append(tracer.events)

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from repro.distributed import (
-    Context,
-    NodeAlgorithm,
-    SyncNetwork,
-    TraceRecorder,
-)
+from repro.distributed import Context, NodeAlgorithm, SyncNetwork
 from repro.graphs import path_graph
+from repro.telemetry.events import EventRecorder
 
 
 class PingOnce(NodeAlgorithm):
@@ -21,7 +17,7 @@ class PingOnce(NodeAlgorithm):
 
 class TestTraceRecorder:
     def test_records_sends(self):
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         net = SyncNetwork(path_graph(3), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         sends = list(tracer.sends())
@@ -31,7 +27,7 @@ class TestTraceRecorder:
         assert all(event.round == 0 for event in sends)
 
     def test_records_halts(self):
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         net = SyncNetwork(path_graph(3), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         halts = list(tracer.halts())
@@ -39,21 +35,21 @@ class TestTraceRecorder:
         assert all(event.round == 1 for event in halts)
 
     def test_node_filter(self):
-        tracer = TraceRecorder(node_filter=lambda v: v == 1)
+        tracer = EventRecorder(node_filter=lambda v: v == 1)
         net = SyncNetwork(path_graph(3), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         assert all(event.node == 1 for event in tracer.events)
         assert len(list(tracer.sends())) == 2
 
     def test_limit_truncates(self):
-        tracer = TraceRecorder(limit=2)
+        tracer = EventRecorder(limit=2)
         net = SyncNetwork(path_graph(4), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         assert len(tracer.events) == 2
         assert tracer.truncated
 
     def test_messages_between(self):
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         net = SyncNetwork(path_graph(3), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         on_edge = tracer.messages_between(0, 1)
@@ -61,7 +57,7 @@ class TestTraceRecorder:
         assert {event.node for event in on_edge} == {0, 1}
 
     def test_rounds_grouping(self):
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         net = SyncNetwork(path_graph(3), lambda v: PingOnce(), tracer=tracer)
         net.run_rounds(2)
         grouped = tracer.rounds()
@@ -77,7 +73,7 @@ class TestTraceRecorder:
 
         # The protocol runs its own SyncNetwork; trace a manual copy.
         graph = path_graph(8)
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         from repro.core.distributed_en import ENNodeAlgorithm
 
         net = SyncNetwork(
@@ -110,7 +106,7 @@ class TestLimitHitBitIdentity:
             return net.stats, [net.halted(v) for v in range(24)]
 
         plain_stats, plain_state = run(None)
-        tracer = TraceRecorder(limit=1)
+        tracer = EventRecorder(limit=1)
         traced_stats, traced_state = run(tracer)
         assert tracer.truncated and len(tracer.events) == 1
         assert traced_stats == plain_stats
@@ -126,12 +122,12 @@ class TestLimitHitBitIdentity:
             (bfs_tree, lambda r: (r.depths, r.parents, r.stats)),
         ):
             plain = run(graph, 0)
-            tracer = TraceRecorder(limit=2)
+            tracer = EventRecorder(limit=2)
             traced = run(graph, 0, tracer=tracer)
             assert tracer.truncated
             assert view(traced) == view(plain)
         plain = leader_election(graph)
-        tracer = TraceRecorder(limit=2)
+        tracer = EventRecorder(limit=2)
         traced = leader_election(graph, tracer=tracer)
         assert tracer.truncated
         assert (traced.leader, traced.stats) == (plain.leader, plain.stats)
@@ -158,7 +154,7 @@ class TestLimitHitBitIdentity:
             ]
 
         plain = run_phase(None)
-        tracer = TraceRecorder(limit=3)
+        tracer = EventRecorder(limit=3)
         traced = run_phase(tracer)
         assert tracer.truncated and len(tracer.events) == 3
         assert traced == plain

@@ -7,7 +7,7 @@ the batch engine:
   **exact** round the offending flush happens — not a round late, not at
   the end of the run — and the two engines report the identical round
   (in fact the identical message, offending edge included);
-* an attached :class:`TraceRecorder` sees a consistent event stream:
+* an attached :class:`EventRecorder` sees a consistent event stream:
   send events match ``messages_sent`` one-for-one, rounds are monotone
   within the run's bounds, halt events match the halted set — and the
   batch engine emits the *same* events as the reference.
@@ -26,7 +26,6 @@ from repro.distributed import (
     LeaderElectionNode,
     NodeAlgorithm,
     SyncNetwork,
-    TraceRecorder,
     run_bfs_tree,
     ConvergecastSumNode,
     BFSTreeNode,
@@ -34,6 +33,7 @@ from repro.distributed import (
 from repro.engine import bfs_tree, convergecast_sum, flood, leader_election
 from repro.errors import CongestViolation
 from repro.graphs import erdos_renyi, path_graph, random_connected, star_graph
+from repro.telemetry.events import EventRecorder
 
 
 def _violation_message(fn) -> str | None:
@@ -111,7 +111,7 @@ class TestExactViolationRound:
 
 
 def _sync_trace(graph, factory, max_rounds):
-    tracer = TraceRecorder()
+    tracer = EventRecorder()
     network = SyncNetwork(graph, factory, tracer=tracer)
     network.run_until_quiet(max_rounds)
     return tracer, network
@@ -131,7 +131,7 @@ class TestTraceInvariants:
         reference, network = _sync_trace(
             self.GRAPH, lambda v: FloodNode(v, 0), self.GRAPH.num_vertices + 1
         )
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         result = flood(self.GRAPH, 0, tracer=tracer)
         assert tracer.events == reference.events
         self._check_invariants(tracer, result.stats, result.rounds)
@@ -140,7 +140,7 @@ class TestTraceInvariants:
         reference, network = _sync_trace(
             self.GRAPH, lambda v: BFSTreeNode(v, 0), self.GRAPH.num_vertices + 2
         )
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         result = bfs_tree(self.GRAPH, 0, tracer=tracer)
         assert tracer.events == reference.events
         self._check_invariants(tracer, result.stats, result.rounds)
@@ -149,7 +149,7 @@ class TestTraceInvariants:
         reference, network = _sync_trace(
             self.GRAPH, lambda v: LeaderElectionNode(v), self.GRAPH.num_vertices + 2
         )
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         result = leader_election(self.GRAPH, tracer=tracer)
         assert tracer.events == reference.events
         self._check_invariants(tracer, result.stats, result.rounds)
@@ -172,7 +172,7 @@ class TestTraceInvariants:
             ),
             2 * graph.num_vertices + 4,
         )
-        tracer = TraceRecorder()
+        tracer = EventRecorder()
         result = convergecast_sum(graph, 0, values, tracer=tracer)
         assert tracer.events == reference.events
         halts = list(tracer.halts())
@@ -183,7 +183,7 @@ class TestTraceInvariants:
         self._check_invariants(tracer, result.stats, result.rounds)
 
     def test_trace_limit_respected_by_batch_engine(self):
-        tracer = TraceRecorder(limit=5)
+        tracer = EventRecorder(limit=5)
         flood(self.GRAPH, 0, tracer=tracer)
         assert len(tracer.events) == 5
         assert tracer.truncated

@@ -93,10 +93,6 @@ class TestDistributedEN:
         central, _ = elkin_neiman.decompose(graph, k=4, seed=11)
         assert central.cluster_index_map() == batch.decomposition.cluster_index_map()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            decompose_distributed(GRAPHS["path"], k=3, backend="gpu")
-
     def test_unknown_mode_rejected_before_dispatch(self):
         with pytest.raises(ParameterError, match="mode"):
             decompose_distributed(GRAPHS["path"], k=3, mode="bogus", backend="batch")
@@ -145,10 +141,6 @@ class TestDistributedLS:
             c.center for c in batch.decomposition.clusters
         ]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            ls_decompose(GRAPHS["path"], k=3, backend="gpu")
-
 
 class TestDistributedMPX:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -171,10 +163,30 @@ class TestDistributedMPX:
                     == batch.decomposition.cluster_index_map()
                 )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            partition_distributed(GRAPHS["path"], beta=0.5, backend="gpu")
-
     def test_unknown_mode_rejected_before_dispatch(self):
         with pytest.raises(ParameterError, match="mode"):
             partition_distributed(GRAPHS["path"], beta=0.5, mode="bogus", backend="batch")
+
+
+DRIVERS = {
+    "en": lambda graph, **kw: decompose_distributed(graph, k=3, **kw),
+    "ls": lambda graph, **kw: ls_decompose(graph, k=3, **kw),
+    "mpx": lambda graph, **kw: partition_distributed(graph, beta=0.5, **kw),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"backend": "gpu"},
+        {"backend": "sync", "delivery": "random:2"},
+        {"backend": "batch", "faults": "drop:0.1"},
+    ],
+    ids=["unknown-backend", "delivery-off-async", "faults-off-async"],
+)
+def test_execution_options_rejected(driver, options):
+    """Every driver rejects an unknown backend, and an adversary on a
+    backend that would silently ignore it."""
+    with pytest.raises(ParameterError, match="backend"):
+        DRIVERS[driver](GRAPHS["path"], **options)

@@ -114,6 +114,55 @@ class TestRegistry:
         assert spec.root_seed == scenario.root_seed
 
 
+def _distributed_trial(algorithm, **params):
+    from repro.experiments.spec import TrialSpec
+
+    return TrialSpec(
+        algorithm=algorithm,
+        graph="er:40:0.1",
+        params=tuple(sorted(params.items())),
+        seed=5,
+        graph_seed=5,
+        index=0,
+    )
+
+
+class TestDistributedAdapters:
+    """The shootout and robustness legs over the EN/LS/MPX drivers."""
+
+    @pytest.mark.parametrize("algo", ["en", "ls", "mpx"])
+    def test_shootout_record_is_backend_independent(self, algo):
+        from repro.experiments.adapters import run_trial
+
+        sync = run_trial(_distributed_trial("shootout", algo=algo, backend="sync"))
+        batch = run_trial(_distributed_trial("shootout", algo=algo, backend="batch"))
+        assert (sync["algo"], sync["backend"], batch["backend"]) == (algo, "sync", "batch")
+        assert {k: v for k, v in sync.items() if k != "backend"} == {
+            k: v for k, v in batch.items() if k != "backend"
+        }
+        assert sync["rounds"] > 0 and sync["messages"] > 0
+        if algo == "mpx":
+            assert sync["phases"] == 1
+
+    @pytest.mark.parametrize("algo", ["en", "ls", "mpx"])
+    def test_robustness_fifo_matches_sync_without_drift(self, algo):
+        from repro.experiments.adapters import run_trial
+
+        record = run_trial(_distributed_trial("robustness", algo=algo, delivery="fifo"))
+        assert record["algo"] == algo
+        assert record["matches_sync"] is True
+        assert record["critical_path_rounds"] == record["rounds"]
+        assert record["critical_path_drift"] == 0
+        assert record["dropped"] == record["delayed"] == record["reordered"] == 0
+
+    @pytest.mark.parametrize("leg", ["shootout", "robustness"])
+    def test_unknown_algo_names_the_leg(self, leg):
+        from repro.experiments.adapters import run_trial
+
+        with pytest.raises(ParameterError, match=f"{leg} algo must be"):
+            run_trial(_distributed_trial(leg, algo="bogus"))
+
+
 class TestSmokeScenarioEndToEnd:
     def test_smoke_runs_and_aggregates(self):
         result = run_experiment(build_experiment("smoke", trials=3))
